@@ -17,6 +17,19 @@ Control knobs:
   view at the cost of interconnect bandwidth;
 * **replication policy** — how the primary combines shadow counters into
   the value the database sees (:mod:`repro.core.replication`).
+
+The counter reporter ticks on a grid of update periods and sends only
+when its report value moved since the last send.  A tick that finds
+nothing new parks the reporter on a wake event, with no timer pending,
+so an idle replica costs no events.  Every input of the report value
+pokes that event: a local credit advance, a successor's shadow update,
+a peer added or removed, a role change or halt, and a new update
+period.  The woken reporter steps its grid forward to the first tick at
+or after the poke and goes on from there, so it sends at exactly the
+instants a reporter ticking every period would.  The one exception is
+an input that moves at a grid instant after a polling reporter would
+already have ticked there: the parked reporter sees it one period
+earlier.
 """
 
 import enum
@@ -158,7 +171,7 @@ class TransportModule:
         self._tracer = engine.tracer
         self._tracing = engine.tracer.enabled
         self.role = TransportRole.STANDALONE
-        self.update_period_ns = update_period_ns
+        self._update_period_ns = update_period_ns
         self.policy = policy or EagerReplication()
         # Root of every randomized decision this transport makes (today:
         # mirror-retry backoff jitter).  Scenario builders thread their
@@ -174,7 +187,13 @@ class TransportModule:
         self._primary_name = None
         self._shadow_watchers = []
         self._tap_installed = False
-        self._reporter_running = False
+        # Identity token of the live reporter loop (None: no reporter).  A
+        # loop whose token was replaced retires after its final tick, so a
+        # quick halt + set_secondary never leaves two loops reporting.
+        self._reporter = None
+        # The wake event a parked reporter waits on (None while it ticks).
+        self._idle_wake = None
+        cmb.watch_credit(lambda _value: self._poke_reporter())
         self.status_register = "ok"  # Section 7.1's transport status
         self.counter_updates_sent = 0
         self.counter_updates_received = 0
@@ -217,14 +236,14 @@ class TransportModule:
             flow.running = False
         self._flows.clear()
         self.shadow_counters.clear()
-        self._reporter_running = False
+        self._retire_reporter()
         return self.role
 
     def set_primary(self):
         if self.ntb_port is None:
             raise RuntimeError("attach an NTB port before becoming primary")
         self.role = TransportRole.PRIMARY
-        self._reporter_running = False
+        self._retire_reporter()
         return self.role
 
     def set_secondary(self, primary_name):
@@ -238,11 +257,24 @@ class TransportModule:
         if not self._tap_installed:
             self.cmb.tap_intake(self._on_local_write)
             self._tap_installed = True
-        if not self._reporter_running:
-            self._reporter_running = True
-            self.engine.process(self._report_loop(),
+        if self._reporter is None:
+            self._reporter = token = object()
+            self.engine.process(self._report_loop(token),
                                 name=f"{self.name}-reporter")
         return self.role
+
+    @property
+    def update_period_ns(self):
+        """How often a secondary forwards its counter (Fig. 13's x-axis)."""
+        return self._update_period_ns
+
+    @update_period_ns.setter
+    def update_period_ns(self, period_ns):
+        # Wake a parked reporter so it rejoins its grid under the old
+        # period first: the new one applies from the step after the
+        # pending one, as it would for a reporter that never parked.
+        self._poke_reporter()
+        self._update_period_ns = period_ns
 
     def start_staleness_monitor(self, check_period_ns=200_000.0):
         """Background detection of stalled replication (Section 7.1).
@@ -300,6 +332,7 @@ class TransportModule:
         self.shadow_counters[peer_name] = Counter(
             self.engine, name=f"shadow:{peer_name}"
         )
+        self._poke_reporter()  # a fresh successor shadow reads 0
         self.engine.process(flow.pump(), name=f"mirror->{peer_name}")
         return flow
 
@@ -318,6 +351,7 @@ class TransportModule:
             flow._kick.succeed()
         self.shadow_counters.pop(peer_name, None)
         self.update_arrival_ns.pop(peer_name, None)
+        self._poke_reporter()
         return flow
 
     def resync_peer(self, peer_name, from_offset=0, skip_offsets=()):
@@ -354,7 +388,7 @@ class TransportModule:
             flow.running = False
             if not flow._kick.triggered:
                 flow._kick.succeed()
-        self._reporter_running = False
+        self._retire_reporter()
         self._monitor_running = False
         self.receiving = False
 
@@ -437,6 +471,7 @@ class TransportModule:
             shadow = self.shadow_counters.get(peer)
             if shadow is not None:
                 shadow.set_at_least(value)
+                self._poke_reporter()
                 if self._tracing:
                     self._tracer.counter(self.name, f"shadow:{peer}",
                                          shadow.value)
@@ -446,17 +481,46 @@ class TransportModule:
 
     # -- secondary reporting loop ---------------------------------------------------------
 
-    def _report_loop(self):
+    def _retire_reporter(self):
+        """Stop the reporter after its pending tick (role change or halt)."""
+        self._reporter = None
+        self._poke_reporter()
+
+    def _poke_reporter(self):
+        """An input of the report value moved: wake a parked reporter."""
+        wake = self._idle_wake
+        if wake is not None:
+            self._idle_wake = None
+            wake.succeed()
+
+    def _report_loop(self, token):
         engine = self.engine
         last_sent = self._report_value()  # nothing to say until it moves
-        while self._reporter_running:
+        if self._reporter is not token:
+            return
+        due = engine.now
+        period = self.update_period_ns
+        while True:
+            due += period
+            while due < engine.now:
+                # Back from parking: rejoin the grid by the same float
+                # steps a reporter that never parked would have taken.
+                due += period
             # Shared-instant wakeup: secondaries configured with the same
             # update period tick on the same instants, so a fleet of
             # reporters shares one wheel entry per period instead of one
             # entry each.
-            yield engine.at(engine.now + self.update_period_ns)
+            yield engine.at(due)
             value = self._report_value()
             if value == last_sent:
+                period = self.update_period_ns
+                if self._reporter is not token:
+                    return
+                # Every further tick would read the same value until an
+                # input moves: park instead of ticking, and let the
+                # input's poke resume the grid.
+                self._idle_wake = wake = engine.event()
+                yield wake
                 continue
             last_sent = value
             self.counter_updates_sent += 1
@@ -475,6 +539,10 @@ class TransportModule:
                 },
             )
             yield self.ntb_port.send(update)
+            if self._reporter is not token:
+                return
+            due = engine.now
+            period = self.update_period_ns
 
     def _report_value(self):
         """What this secondary reports upstream.

@@ -8,6 +8,7 @@ observation the paper cites that OLTP log records are well under 20 KB.
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 # Header: LSN + txn id + kind + table id + lengths.
 RECORD_HEADER_BYTES = 32
@@ -62,8 +63,10 @@ class LogRecord:
     key: object = None
     value: object = None
 
-    @property
+    @cached_property
     def nbytes(self):
+        # Sized once: the WAL reads it at enqueue, group take and batch
+        # build, and the fields never change (the record is frozen).
         return record_bytes(self)
 
     def is_data(self):

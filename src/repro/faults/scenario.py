@@ -228,10 +228,11 @@ def _collect_pages(engine, device):
             pages.append(page)
 
     done = engine.process(reader(), name="chaos-page-collect")
-    # Step in small increments instead of one big window: surviving
-    # secondaries still run their reporter loops, so the event heap
-    # never drains and a single run(until=now+5e9) would simulate the
-    # whole window at reporter granularity.
+    # Step in small increments instead of one big window: the read-back
+    # finishes long before the deadline, and a periodic process still
+    # attached (a staleness monitor, a heartbeat probe) would otherwise
+    # be simulated for the whole window.  Idle counter reporters park
+    # and schedule nothing.
     deadline = engine.now + 5e9
     while not done.triggered and engine.now < deadline:
         engine.run(until=min(engine.now + 1e6, deadline))

@@ -49,7 +49,9 @@ per-event scheduling for NAND-channel and transport completions that land
 on the same tick.  :meth:`Engine.at` goes one step further: completions
 targeting the same *instant* share one event — one wheel entry and one
 dispatch, however many waiters pile on — which is how the NAND channel's
-cell timers and the transport's aligned reporter periods batch.
+cell timers batch, and how counter reporters that share an update period
+share their ticks.  Reporters hold a tick only while their counter
+moves: an idle one parks on a plain event and keeps nothing queued.
 
 Determinism contract (chaos and checker replays depend on it, byte for
 byte):

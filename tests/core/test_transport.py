@@ -157,3 +157,26 @@ def test_set_standalone_clears_replication_state():
     assert primary.role is TransportRole.STANDALONE
     assert not primary.shadow_counters
     assert primary.visible_counter() == primary.cmb.credit.value
+
+
+def test_restart_within_one_period_leaves_one_reporter():
+    """Halt then re-assert the secondary role before the halted loop's
+    pending tick: that loop retires after it, so each write is reported
+    once, not once per loop."""
+    engine, (primary_cmb, primary), (_scmb, secondary) = make_pair()
+    engine.run(until=1_000.0)
+    secondary.halt()
+    engine.run(until=engine.now + 1.0)
+    secondary.restart_flows()
+    secondary.set_secondary("primary")
+
+    def writes():
+        for index in range(36):
+            yield primary_cmb.receive(index * 64, 64, f"w{index}")
+            yield engine.timeout(20_000.0)
+
+    engine.process(writes())
+    engine.run(until=engine.now + 2_000_000.0)
+    assert primary.shadow_counters["secondary"].value == 36 * 64
+    assert secondary.counter_updates_sent == 36
+    assert primary.counter_updates_received == 36
