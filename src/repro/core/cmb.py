@@ -6,8 +6,8 @@ Data path (Fig. 5 of the paper):
 2. each contribution enters an SRAM intake **queue** whose size was
    pre-negotiated with the database — this size is the flow-control
    budget;
-3. a drain process moves queued chunks into the **backing memory** (SRAM
-   or DRAM, see :mod:`repro.pm.backing`), paying its port bandwidth;
+3. queued chunks move into the **backing memory** (SRAM or DRAM, see
+   :mod:`repro.pm.backing`) in arrival order, paying its port bandwidth;
 4. once a chunk reaches backing memory — never before — the **credit
    counter** advances, but only over *contiguous* stream bytes (the gap
    rule);
@@ -16,10 +16,21 @@ Data path (Fig. 5 of the paper):
 Writes are persistent once in backing memory (Section 4.1, "we offer the
 following semantics").  The Transport module, when active, taps the intake
 stream to mirror it to secondaries.
+
+In hardware steps 2-4 are a pipeline whose per-chunk cost is bandwidth,
+not control flow, and the model runs them the same way: as callbacks, with
+no process per chunk.  A chunk that arrives to queue space, an empty wait
+line and room in the PM ring issues its backing write inside
+:meth:`CmbModule.receive`; the write's completion applies it to the ring
+and returns its queue space.  Any other chunk joins one FIFO wait line,
+which moves forward when queue space returns (a persisted chunk) or ring
+room frees (destage).  A stopped module takes no chunks at all.
 """
 
+from collections import deque
+
 from repro.core.ring import RingOverflowError, SequencedRing
-from repro.sim.resources import Container, Store
+from repro.sim.engine import Event
 from repro.sim.stats import Counter
 
 
@@ -49,28 +60,32 @@ class CmbModule:
         self.bytes_shed = 0
         self.ring = SequencedRing(capacity=backing.capacity)
         self.credit = Counter(engine, name=f"{name}.credit")
-        # Intake queue: chunk FIFO plus a byte-space accountant.
-        self._intake = Store(engine)
-        self._queue_space = Container(engine, capacity=queue_bytes,
-                                      init=queue_bytes)
+        # Intake queue: free SRAM bytes, and the wait line of chunks that
+        # could not persist on arrival, as (offset, nbytes, payload,
+        # entered) in arrival order.  The first ``_granted`` of them hold
+        # queue space and wait only for PM ring room; ``entered`` fires
+        # when a chunk gets its space.
+        self._queue_free = queue_bytes
+        self._waiting = deque()
+        self._granted = 0
+        # What ``receive`` returns for a chunk that entered the queue on
+        # arrival: one shared, already-fired event.
+        self._entered = engine.event().succeed()
         self._intake_taps = []
         self._credit_watchers = []
         # Tracing: open intake spans keyed by stream offset (one span
         # covers a chunk's life from PCIe arrival to persistence).
         self._trace_tokens = {}
-        # The chunk the drain is currently persisting; it still occupies
-        # SRAM until the PM write completes, so the crash path can salvage
-        # it (reserve energy finishes the move).
-        # Chunks whose PM write is in flight (issued, not yet applied).
-        # They still occupy SRAM queue slots until the write completes,
-        # and the crash path can salvage them (reserve energy finishes
-        # the moves).  Completions apply strictly in FIFO order because
-        # they share one port.
-        self._persisting = []
-        # Kicked by the destage module when it frees ring space; the drain
-        # waits on it instead of overflowing the PM ring.
-        self._ring_room_kick = engine.event()
+        # Chunks whose PM write is in flight (issued, not yet applied), as
+        # (offset, nbytes, payload, write event).  They still occupy SRAM
+        # queue space until the write completes, and the crash path can
+        # salvage them (reserve energy finishes the moves).  Completions
+        # apply strictly in FIFO order because they share one port.
+        self._persisting = deque()
         self._running = False
+        # Chunks that reached a stopped module (power already lost): they
+        # are neither mirrored nor persisted.
+        self.chunks_dropped_stopped = 0
         self.bytes_received = 0
         self.chunks_received = 0
         # Torn-write injection: when armed, the next arriving chunk loses
@@ -89,13 +104,17 @@ class CmbModule:
     # -- wiring -------------------------------------------------------------------
 
     def start(self):
-        """Launch the queue drain process."""
+        """Start taking chunks; resumes any left waiting by :meth:`stop`."""
         if self._running:
             raise RuntimeError("CMB module already started")
         self._running = True
-        return self.engine.process(self._drain(), name=f"{self.name}-drain")
+        self._resume_waiting()
 
     def stop(self):
+        """Take no more chunks and persist no waiting ones (power loss).
+
+        PM writes already issued still complete.
+        """
         self._running = False
 
     def tap_intake(self, callback):
@@ -122,11 +141,16 @@ class CmbModule:
         """Accept a write chunk arriving via PCIe; returns an enqueue event.
 
         The event fires when the chunk has entered the intake queue (space
-        permitting).  Persistence happens later, asynchronously, in the
-        drain process; the host learns about it from the credit counter.
+        permitting).  Persistence happens later, asynchronously, when its
+        backing write completes; the host learns about it from the credit
+        counter.  A stopped module drops the chunk.
         """
         if nbytes <= 0:
             raise ValueError("chunks must carry at least one byte")
+        if not self._running:
+            # The device lost power while the chunk was on the wire.
+            self.chunks_dropped_stopped += 1
+            return self._entered
         tracer = self.engine.tracer
         if self._torn_armed and nbytes > 1:
             self._torn_armed -= 1
@@ -162,10 +186,18 @@ class CmbModule:
             )
         for tap in self._intake_taps:
             tap(offset, nbytes, payload)
-        return self.engine.process(
-            self._enqueue(offset, nbytes, payload),
-            name=f"{self.name}-enqueue",
-        )
+        ring = self.ring
+        if (not self._waiting and nbytes <= self._queue_free
+                and offset + nbytes <= ring.released + ring.capacity):
+            # The uncontended pipeline: take queue space, start the PM
+            # write.  (``_running`` was checked above.)
+            self._queue_free -= nbytes
+            self._persist(offset, nbytes, payload)
+            return self._entered
+        entered = Event(self.engine)
+        self._waiting.append((offset, nbytes, payload, entered))
+        self._resume_waiting()
+        return entered
 
     def receive_tlp(self, tlp):
         """Adapter: unpack an MMIO TLP's contributions into :meth:`receive`.
@@ -187,67 +219,75 @@ class CmbModule:
             last = self.engine.timeout(0.0)
         return last
 
-    def _enqueue(self, offset, nbytes, payload):
-        yield self._queue_space.get(nbytes)
-        yield self._intake.put((offset, nbytes, payload))
-
-    # -- drain: queue -> backing memory -----------------------------------------------
+    # -- queue -> backing memory ------------------------------------------------------
 
     def ring_space_freed(self):
         """Destage notification: the PM ring released some space."""
-        if not self._ring_room_kick.triggered:
-            self._ring_room_kick.succeed()
+        if self._waiting:
+            self._resume_waiting()
 
-    def _ring_room_wait(self):
-        if self._ring_room_kick.triggered:
-            self._ring_room_kick = self.engine.event()
-        return self._ring_room_kick
+    def _resume_waiting(self):
+        """Move the wait line forward, in order, as far as space allows.
 
-    def _drain(self):
-        while self._running:
-            chunk = yield self._intake.get()
-            offset, nbytes, payload = chunk
-            # Stall while the PM ring's window is full: space frees as the
-            # destage module moves the head to flash.  The stall holds the
-            # intake queue occupied, which is exactly how back-pressure
-            # propagates to the host's credit budget.
-            while (offset + nbytes
-                   > self.ring.released + self.ring.capacity):
-                if not self._running:
-                    return
-                yield self._ring_room_wait()
-            # Issue the PM write and keep draining: writes pipeline on the
-            # backing port (its bandwidth serializes them; per-access
-            # latency overlaps), completing in FIFO order.
-            self._persisting.append(chunk)
-            self.backing.write(nbytes).then(self._on_persisted)
+        Queue space goes to waiting chunks strictly first come, first
+        served.  A chunk holding space persists once the PM ring's window
+        has room for it: space frees as the destage module moves the head
+        to flash, and a stall keeps the chunk's queue space taken, which is
+        exactly how back-pressure propagates to the host's credit budget.
+        """
+        if not self._running:
+            return
+        waiting = self._waiting
+        while self._granted < len(waiting):
+            nbytes = waiting[self._granted][1]
+            if nbytes > self._queue_free:
+                break
+            self._queue_free -= nbytes
+            waiting[self._granted][3].succeed()
+            self._granted += 1
+        ring = self.ring
+        while self._granted:
+            offset, nbytes, payload, _entered = waiting[0]
+            if offset + nbytes > ring.released + ring.capacity:
+                break
+            waiting.popleft()
+            self._granted -= 1
+            self._persist(offset, nbytes, payload)
+
+    def _persist(self, offset, nbytes, payload):
+        # Writes pipeline on the backing port (its bandwidth serializes
+        # them; per-access latency overlaps) and complete in FIFO order.
+        write = self.backing.write(nbytes)
+        self._persisting.append((offset, nbytes, payload, write))
+        write.then(self._on_persisted)
 
     def _on_persisted(self, _event):
-        if not self._persisting:
-            return  # a crash already salvaged the pipeline
-        offset, nbytes, payload = self._persisting.pop(0)
+        offset, nbytes, payload, _write = self._persisting.popleft()
         self.intake_backlog_bytes = max(0, self.intake_backlog_bytes - nbytes)
-        self._queue_space.put(nbytes)
+        self._queue_free += nbytes
         tracer = self.engine.tracer
         token = self._trace_tokens.pop(offset, None)
         try:
             advanced = self.ring.write(offset, nbytes, payload)
         except RingOverflowError:
+            advanced = 0
             self.chunks_discarded += 1
             if tracer.enabled:
                 tracer.instant(self.name, "chunk-discarded", flow=offset,
                                nbytes=nbytes)
                 if token is not None:
                     tracer.end(token, discarded=True)
-            return
-        if tracer.enabled and token is not None:
-            tracer.end(token, advanced=advanced)
+        else:
+            if tracer.enabled and token is not None:
+                tracer.end(token, advanced=advanced)
         if advanced:
             value = self.credit.advance(advanced)
             if tracer.enabled:
                 tracer.counter(self.name, "credit", value)
             for watcher in self._credit_watchers:
                 watcher(value)
+        if self._waiting:
+            self._resume_waiting()
 
     # -- control interface --------------------------------------------------------------
 
@@ -268,7 +308,7 @@ class CmbModule:
     @property
     def queue_free_bytes(self):
         """Free space left in the SRAM intake queue (flow-control head-room)."""
-        return self._queue_space.level
+        return self._queue_free
 
     def drain_pending_to_backing(self):
         """Synchronously flush queue contents into the ring (crash path).
@@ -277,16 +317,29 @@ class CmbModule:
         finish moving the intake queue into PM without simulation time
         (the supercapacitor budget is modeled in
         :mod:`repro.core.crash`).  Returns the bytes made contiguous.
+
+        Salvaged are the chunks in SRAM: PM writes in flight (their
+        completions are void) and waiting chunks that hold queue space,
+        in arrival order.  Chunks still waiting for queue space never
+        reached SRAM and are lost with the power.
         """
+        salvaged = []
+        for offset, nbytes, payload, write in self._persisting:
+            write.cancel()
+            salvaged.append((offset, nbytes, payload))
+        self._persisting.clear()
+        for _ in range(self._granted):
+            offset, nbytes, payload, _entered = self._waiting.popleft()
+            salvaged.append((offset, nbytes, payload))
+        self._waiting.clear()
+        self._granted = 0
+        self._queue_free = self.queue_bytes
         advanced = 0
-        salvaged = list(self._persisting) + list(self._intake.peek_all())
-        self._persisting = []
         for offset, nbytes, payload in salvaged:
             try:
                 advanced += self.ring.write(offset, nbytes, payload)
             except RingOverflowError:
                 self.chunks_discarded += 1
-        self._intake._items.clear()
         self.intake_backlog_bytes = 0
         if advanced:
             self.credit.advance(advanced)

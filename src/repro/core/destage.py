@@ -19,6 +19,12 @@ through the log control interface; the secondary-side read path
 
 from repro.ssd.scheduler import Source, WriteRequest
 
+# Minimum wait quantum: floating-point clocks cannot represent arbitrarily
+# small remainders near large timestamps, so a naive
+# ``timeout(threshold - waited)`` can round to a zero-advance event and
+# spin.  One nanosecond is far below anything we measure.
+_MIN_WAIT_NS = 1.0
+
 
 class DestagePage:
     """One flash page's worth of destaged log data (possibly padded)."""
@@ -81,7 +87,10 @@ class DestageModule:
         self._trace_tokens = {}
         self._running = False
         self._kick = engine.event()
-        cmb.watch_credit(lambda _value: self._wake())
+        # While the loop sleeps on a partial page: its deadline to destage
+        # the page with filler anyway.  None otherwise.
+        self._partial_deadline = None
+        cmb.watch_credit(self._on_credit)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -99,14 +108,30 @@ class DestageModule:
         if not self._kick.triggered:
             self._kick.succeed()
 
+    def _on_credit(self, _value):
+        """Wake the loop on a credit advance, unless it cannot act on it.
+
+        A loop sleeping on a partial page re-decides on waking: it issues
+        a page if the ring now holds a full one or the deadline is within
+        the wait quantum, and otherwise waits again for the same deadline
+        (more data does not move it).  When neither holds, the wake would
+        only re-arm the same wait, so it is skipped.
+        """
+        deadline = self._partial_deadline
+        if (deadline is not None
+                and self.engine.now < deadline - _MIN_WAIT_NS
+                and self.cmb.ring.consumable_bytes() < self.page_bytes):
+            return
+        self._wake()
+
     # -- the destage loop -----------------------------------------------------------
 
     def _loop(self):
-        # Minimum wait quantum: floating-point clocks cannot represent
-        # arbitrarily small remainders near large timestamps, so a naive
-        # `timeout(threshold - waited)` can round to a zero-advance event
-        # and spin.  One nanosecond is far below anything we measure.
-        min_wait = 1.0
+        # Each pass decides from the ring, the outstanding page count and
+        # the clock: issue a full page, issue a padded partial page whose
+        # latency threshold has run out, or sleep.  Wakes come from page
+        # completions, stop(), and credit advances; ``_on_credit`` drops
+        # the credit wakes that cannot change the decision.
         waiting_since = None
         while self._running:
             if self._outstanding >= self.max_outstanding_pages:
@@ -121,18 +146,20 @@ class DestageModule:
                 if waiting_since is None:
                     waiting_since = self.engine.now
                 deadline = waiting_since + self.latency_threshold_ns
-                if self.engine.now >= deadline - min_wait:
+                if self.engine.now >= deadline - _MIN_WAIT_NS:
                     # Partial page with filler to bound latency.
                     yield self.engine.process(self._issue_page())
                     waiting_since = None
                     continue
-                # Wait for either more data or the threshold to expire; the
+                # Wait for a full page or the threshold to expire; the
                 # losing timer is cancelled so repeated kicks do not pile
-                # dead timeout entries onto the heap.
-                remaining = max(deadline - self.engine.now, min_wait)
+                # dead timeout entries onto the timer queue.
+                remaining = max(deadline - self.engine.now, _MIN_WAIT_NS)
                 kick = self._next_kick()
                 expiry = self.engine.timeout(remaining)
+                self._partial_deadline = deadline
                 yield self.engine.any_of([kick, expiry])
+                self._partial_deadline = None
                 expiry.cancel()
                 continue
             waiting_since = None

@@ -613,9 +613,12 @@ class Engine:
         if tick <= cur:
             # The wheel has already advanced onto (or past) this tick —
             # possible after run(until=...) parked with a batch loaded, or
-            # for sub-tick delays.  Keep the batch sorted; (when, seq)
-            # ordering lands the entry at or after the drain cursor.
-            insort(self._batch, entry)
+            # for sub-tick delays.  Keep the unswept part of the batch
+            # sorted.  The search starts at the drain cursor: swept entries
+            # behind it may sort after this one (the cancelled-prefix skip
+            # can sweep past the clock), and an insert among them would be
+            # lost.
+            insort(self._batch, entry, self._batch_pos)
             return
         # Level selection is block-aligned: ``tick ^ cur`` tells the highest
         # differing bit, i.e. the first level whose slot span still contains

@@ -147,3 +147,112 @@ def test_invalid_queue_size_rejected():
     backing = sram_backing(engine)
     with pytest.raises(ValueError):
         CmbModule(engine, backing, queue_bytes=0)
+
+
+# -- contended intake: chunks that cannot persist on arrival ---------------------------
+
+
+def test_chunks_waiting_for_queue_space_keep_fifo_order_and_credit():
+    """Four 128 B chunks against a 256 B queue: two wait for space."""
+    engine, cmb = make_cmb(queue_bytes=256)
+    credits = []
+    entered = []
+    cmb.watch_credit(credits.append)
+    for i in range(4):
+        cmb.receive(i * 128, 128, f"c{i}").then(
+            lambda _event, i=i: entered.append((i, engine.now)))
+    engine.run()
+    assert credits == [128, 256, 384, 512]
+    assert [i for i, _when in entered] == [0, 1, 2, 3]
+    assert entered[0][1] == entered[1][1] == 0.0
+    # The waiting pair entered only once persisted chunks returned space.
+    assert 0.0 < entered[2][1] <= entered[3][1]
+    assert [p for _o, _n, p in cmb.ring.peek_ready()] == [
+        "c0", "c1", "c2", "c3"]
+    assert cmb.queue_free_bytes == 256
+    assert cmb.in_flight_bytes == 0
+
+
+def _fill_ring_and_stall(extra_chunks):
+    """A 512 B ring, four 128 B chunks filling it, then ``extra_chunks``
+    more that must wait for ring room (the queue itself has space)."""
+    engine, cmb = make_cmb(queue_bytes=2048, capacity=512)
+    for i in range(4 + extra_chunks):
+        cmb.receive(i * 128, 128, f"c{i}")
+    engine.run()
+    assert cmb.credit.value == 512
+    return engine, cmb
+
+
+def _destage_head(cmb, nbytes):
+    """Play the destage module: consume and release the ring's head."""
+    taken = cmb.ring.consume(nbytes)
+    cmb.ring.release(taken[-1][0] + taken[-1][1])
+    return taken
+
+
+def test_ring_room_stall_resumes_on_ring_space_freed():
+    engine, cmb = _fill_ring_and_stall(extra_chunks=2)
+    engine.run(until=engine.now + 100_000.0)
+    assert cmb.credit.value == 512  # stalled, not lost, not overflowed
+    assert cmb.in_flight_bytes == 256
+    _destage_head(cmb, 256)
+    cmb.ring_space_freed()
+    engine.run()
+    assert cmb.credit.value == 768
+    assert [o for o, _n, _p in cmb.ring.peek_ready()] == [256, 384, 512, 640]
+    assert cmb.chunks_discarded == 0
+
+
+def test_restart_resumes_chunks_left_waiting_by_stop():
+    """A halt without power loss (replica reboot) keeps waiting chunks."""
+    engine, cmb = _fill_ring_and_stall(extra_chunks=1)
+    cmb.stop()
+    _destage_head(cmb, 128)
+    cmb.ring_space_freed()  # a stopped module persists nothing
+    engine.run()
+    assert cmb.credit.value == 512
+    cmb.start()
+    engine.run()
+    assert cmb.credit.value == 640
+
+
+def test_drain_pending_to_backing_salvages_waiting_chunks_in_stream_order():
+    """Crash with PM writes in flight: reserve energy finishes them."""
+    engine, cmb = make_cmb(queue_bytes=384)
+    # Arrival order differs from stream order; the fourth chunk finds
+    # the queue full and never enters it before the power fails.
+    for offset, tag in ((128, "b"), (0, "a"), (256, "c"), (384, "d")):
+        cmb.receive(offset, 128, tag)
+    engine.run(until=1.0)  # all three queued chunks are still in flight
+    assert cmb.credit.value == 0
+    cmb.stop()
+    salvaged = cmb.drain_pending_to_backing()
+    assert salvaged == 384
+    assert cmb.credit.value == 384
+    assert [(o, p) for o, _n, p in cmb.ring.peek_ready()] == [
+        (0, "a"), (128, "b"), (256, "c")]
+    assert cmb.chunks_discarded == 0
+
+
+def test_halted_cmb_drops_late_chunks_and_restart_credits_once():
+    engine, cmb = make_cmb()
+    mirrored = []
+    credits = []
+    cmb.tap_intake(lambda offset, nbytes, payload: mirrored.append(offset))
+    cmb.watch_credit(credits.append)
+    cmb.receive(0, 256, "before")
+    engine.run()
+    assert cmb.credit.value == 256
+    cmb.stop()
+    cmb.receive(256, 256, "late")  # still on the wire at power loss
+    engine.run()
+    assert cmb.credit.value == 256
+    assert mirrored == [0]
+    assert cmb.chunks_dropped_stopped == 1
+    cmb.start()
+    cmb.receive(256, 128, "after")
+    cmb.receive(384, 128, "after")
+    engine.run()
+    assert credits == [256, 384, 512]
+    assert mirrored == [0, 256, 384]

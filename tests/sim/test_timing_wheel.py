@@ -235,8 +235,8 @@ class _WheelAdapter:
     def cancel(self, handle):
         handle.cancel()
 
-    def run(self):
-        self.engine.run()
+    def run(self, until=None):
+        self.engine.run(until=until)
 
 
 class _HeapAdapter:
@@ -259,19 +259,39 @@ class _HeapAdapter:
     def cancel(self, entry):
         entry[3] = False
 
-    def run(self):
+    def run(self, until=None):
         heap = self._heap
-        while heap:
+        while heap and (until is None or heap[0][0] <= until):
             when, _seq, callback, live = heapq.heappop(heap)
             if not live:
                 continue
             self.now = when
             callback(None)
+        if until is not None and until > self.now:
+            self.now = until
 
 
-def _drive(adapter, seed, rounds=600):
+def _random_delay(rng):
+    roll = rng.random()
+    if roll < 0.25:
+        return rng.choice((0.0, 0.25, 0.5, 1.0, 3.0))
+    if roll < 0.60:
+        return rng.uniform(1.0, 300.0)         # level 0/1 range
+    if roll < 0.85:
+        return rng.uniform(300.0, 70000.0)     # level 1/2 range
+    if roll < 0.97:
+        return rng.uniform(70000.0, 2.0 ** 25)  # level 2/3 range
+    return 2.0 ** 32 + rng.uniform(0.0, 1000.0)  # overflow
+
+
+def _drive(adapter, seed, rounds=600, segments=0):
     """Replay one seeded schedule of mixed-range timers with random
-    cancellations; returns the (time, tag) firing log."""
+    cancellations; returns the (time, tag) firing log.
+
+    With ``segments`` the run is cut into that many ``run(until=...)``
+    stretches first; between stretches, with the clock parked, it
+    schedules fresh timers and cancels random open ones (a parked clock
+    can leave a loaded batch ahead of it), then runs to completion."""
     rng = random.Random(seed)
     log = []
     state = {"rounds": rounds, "open": []}
@@ -282,28 +302,27 @@ def _drive(adapter, seed, rounds=600):
             if state["rounds"] <= 0:
                 return
             state["rounds"] -= 1
-            roll = rng.random()
-            if roll < 0.25:
-                delay = rng.choice((0.0, 0.25, 0.5, 1.0, 3.0))
-            elif roll < 0.60:
-                delay = rng.uniform(1.0, 300.0)         # level 0/1 range
-            elif roll < 0.85:
-                delay = rng.uniform(300.0, 70000.0)     # level 1/2 range
-            elif roll < 0.97:
-                delay = rng.uniform(70000.0, 2.0 ** 25)  # level 2/3 range
-            else:
-                delay = 2.0 ** 32 + rng.uniform(0.0, 1000.0)  # overflow
-            handle = adapter.schedule(delay, fire(state["rounds"]))
-            state["open"].append(handle)
+            schedule(_random_delay(rng), state["rounds"])
             if rng.random() < 0.3:
-                victim = state["open"].pop(
-                    rng.randrange(len(state["open"])))
-                adapter.cancel(victim)
+                cancel_one()
 
         return callback
 
+    def schedule(delay, tag):
+        state["open"].append(adapter.schedule(delay, fire(tag)))
+
+    def cancel_one():
+        victim = state["open"].pop(rng.randrange(len(state["open"])))
+        adapter.cancel(victim)
+
     for tag in range(8):
         adapter.schedule(float(tag + 1), fire(-tag - 1))
+    for segment in range(segments):
+        adapter.run(until=adapter.now + _random_delay(rng))
+        for extra in range(rng.randrange(4)):
+            schedule(_random_delay(rng), f"s{segment}.{extra}")
+        while state["open"] and rng.random() < 0.5:
+            cancel_one()
     adapter.run()
     return log
 
@@ -315,3 +334,26 @@ class TestDifferentialDeterminism:
 
     def test_wheel_replay_is_identical(self):
         assert _drive(_WheelAdapter(), 3) == _drive(_WheelAdapter(), 3)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_segmented_runs_match_reference_heap(self, seed):
+        """run(until=...) stretches with schedules and cancels between."""
+        assert (_drive(_WheelAdapter(), seed, segments=40)
+                == _drive(_HeapAdapter(), seed, segments=40))
+
+
+class TestParkedClock:
+    def test_timer_scheduled_behind_a_parked_batch_still_fires(self):
+        """A cancelled far timer parked ahead of the clock must not hide
+        timers scheduled behind it on later runs."""
+        engine = Engine()
+        fired = []
+        far = engine.timeout(50_084.0)
+        engine.run(until=10_000.0)
+        far.cancel()
+        engine.timeout(84.0)
+        engine.run(until=20_000.0)
+        engine.timeout(84.0).then(lambda _e: fired.append(engine.now))
+        engine.timeout(148.0).then(lambda _e: fired.append(engine.now))
+        engine.run()
+        assert fired == [20_084.0, 20_148.0]
