@@ -37,12 +37,11 @@ def test_kernel_event_churn_faster_than_seed(run_once):
 
 
 def test_kernel_timeout_heavy_beats_seed(run_once):
-    """Timer-bound workload: the timing wheel must beat the global heap.
+    """Timer-bound workload: the instant heap must beat the tuple heap.
 
-    The wheel's measured plateau on this workload is ~1.5x (timer
-    construction dominates and is identical on both kernels); assert a
-    floor with headroom for shared-box noise rather than the plateau
-    itself.
+    Timer construction is a large, identical share on both kernels, so
+    the ratio is the smallest of the five; assert a floor with headroom
+    for shared-box noise rather than the measured plateau itself.
     """
     rows = run_once(run_kernel_bench, events=BENCH_EVENTS,
                     workloads=("timeout-heavy",))
@@ -51,7 +50,7 @@ def test_kernel_timeout_heavy_beats_seed(run_once):
 
 
 def test_kernel_timeout_cancel_heavy_beats_seed(run_once):
-    """The schedule-then-cancel idiom: wheel reclaim vs seed heap garbage."""
+    """The schedule-then-cancel idiom: compaction vs seed heap garbage."""
     rows = run_once(run_kernel_bench, events=BENCH_EVENTS,
                     workloads=("timeout-cancel-heavy",))
     (row,) = rows

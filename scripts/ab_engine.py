@@ -34,6 +34,8 @@ def run_ab(src_a, src_b, rounds=5, events=100000, workloads=None):
         "timeout-heavy": kernel.run_timeout_heavy,
         "same-instant": kernel.run_same_instant,
         "event-churn": kernel.run_event_churn,
+        "timeout-cancel-heavy": kernel.run_timeout_cancel_heavy,
+        "fleet-scale": kernel.run_fleet_scale,
     }
     if workloads:
         runners = {k: runners[k] for k in workloads}
@@ -49,7 +51,7 @@ def run_ab(src_a, src_b, rounds=5, events=100000, workloads=None):
     for wl in runners:
         a, b = best[(wl, "A")], best[(wl, "B")]
         print(
-            f"{wl:>14}  A {a / 1e6:.3f}  B {b / 1e6:.3f}  "
+            f"{wl:>20}  A {a / 1e6:.3f}  B {b / 1e6:.3f}  "
             f"B/A {b / a:.3f}"
         )
     return best

@@ -11,10 +11,8 @@ fresh against the frozen in-tree seed replica, never trusted from disk.
 Anti-flake policy: the floor stays exact, the *measurement* retries.  A
 workload that misses the floor is re-measured up to two more times with
 a higher repeat count (best-of-N is a max statistic, so more repeats
-push a noisy reading toward the true plateau).  ``timeout-heavy`` runs
-closest to the bar — its honest plateau is ~1.5x because timer
-construction dominates and is identical on both kernels — so a single
-noisy sample straddling 1.5 must not fail the build, while a genuine
+push a noisy reading toward the true plateau), so a single noisy sample
+straddling the floor does not fail the build, while a genuine
 regression fails all three attempts.
 """
 

@@ -15,17 +15,19 @@ matter:
   construction cost is included.
 * ``timeout-heavy`` — a population of concurrent timers that each reschedule
   themselves with a strictly positive delay; all scheduling goes through
-  the heap on both kernels, so this workload tracks pure run-loop overhead.
+  the timer queue on both kernels (the current kernel's instant heap,
+  the seed's tuple heap), so this workload tracks pure run-loop overhead.
 * ``timeout-cancel-heavy`` — the WAL group-commit / transport-retry race:
   every round schedules a long expiry timer and cancels it one round
   later, unexpired.  The seed kernel drags the dead entries through the
-  heap; the wheel reclaims them via lazy drop + opportunistic compaction.
+  heap; the current kernel reclaims them via lazy drop + opportunistic
+  compaction.
 * ``fleet-scale`` — a sharded fleet's heartbeat plane: thousands of probes
   on a handful of aligned periods, every period tick landing on the same
   instant.  Probes use the engine's shared-instant API (``Engine.at``)
-  when it exists, so the wheel kernel carries one entry per instant and
-  delivers it in one callback sweep; the seed pays one heap round-trip
-  per probe.
+  when it exists, so the current kernel carries one entry per instant
+  and delivers it in one callback sweep; the seed pays one heap
+  round-trip per probe.
 
 To keep the speedup measurable after the seed engine is gone, the module
 carries a frozen replica of the seed's scheduling core (``SeedEngine``):
@@ -254,7 +256,7 @@ def run_fleet_scale(engine_factory, events=DEFAULT_EVENTS,
     """A sharded fleet's heartbeat plane: ``probes`` periodic probes over
     eight aligned periods, so every period tick lands whole cohorts on one
     instant.  Probes ride the engine's shared-instant API (``at``) when it
-    has one — one wheel entry and one callback sweep per instant — and
+    has one — one timer entry and one callback sweep per instant — and
     fall back to per-probe timeouts (the seed's only option) otherwise.
     Returns (events/sec, count)."""
     engine = engine_factory()

@@ -508,7 +508,7 @@ class TransportModule:
                 due += period
             # Shared-instant wakeup: secondaries configured with the same
             # update period tick on the same instants, so a fleet of
-            # reporters shares one wheel entry per period instead of one
+            # reporters shares one timer entry per period instead of one
             # entry each.
             yield engine.at(due)
             value = self._report_value()

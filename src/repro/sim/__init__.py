@@ -4,7 +4,8 @@ Everything in this reproduction — NAND arrays, PCIe links, the CMB module,
 the database engine — runs as cooperating processes on top of this kernel.
 The design is a deliberately small subset of the well-known simpy style:
 
-* :class:`Engine` owns the simulated clock (nanoseconds) and the event heap.
+* :class:`Engine` owns the simulated clock (nanoseconds) and the event
+  queues.
 * :class:`Event` is a one-shot occurrence that processes can wait on.
 * Processes are plain Python generators that ``yield`` events; the engine
   resumes them when the event fires.
@@ -12,8 +13,8 @@ The design is a deliberately small subset of the well-known simpy style:
   :class:`~repro.sim.resources.Container`,
   :class:`~repro.sim.resources.BandwidthPipe`, ...) model contention.
 
-The kernel is fully deterministic for a fixed seed: ties in the event heap
-break on a monotonically increasing sequence number, never on object ids.
+The kernel is fully deterministic for a fixed seed: events due at one
+instant fire in the order they were scheduled, never by object ids.
 """
 
 from repro.sim.engine import (

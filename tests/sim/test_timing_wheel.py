@@ -1,19 +1,27 @@
-"""Timing-wheel internals: cascade correctness at level boundaries,
-far-future overflow, zero/negative delays, cancellation compaction, the
-shared-instant (``Engine.at``) batching API, and differential determinism
-against a reference heap scheduler."""
+"""Timer-queue tests: firing order across wide delay ranges, far-future
+and zero/negative/non-finite delays, cancellation compaction, instants
+holding several or only cancelled timers, a callback raising mid-sweep,
+the dispatched-event counter, the shared-instant (``Engine.at``) batching
+API, and differential determinism against a reference heap scheduler.
+
+The module predates the instant heap (it tested the timing wheel that
+came before it); the level-boundary and overflow classes keep their names
+and now pin firing order across those same delay ranges."""
 
 import heapq
+import math
 import random
 from itertools import count
 
 import pytest
 
-from repro.sim import Engine, SimulationError
+from repro.sim import Engine, SimulationError, Timeout
 from repro.sim.engine import _COMPACT_MIN_CANCELLED
 
 
 class TestLevelBoundaries:
+    """Delays straddling 256 ns, 2**16 ns and 2**24 ns keep time order."""
+
     def test_order_across_level0_block_edge(self):
         engine = Engine()
         fired = []
@@ -37,8 +45,8 @@ class TestLevelBoundaries:
         assert fired == sorted(delays)
 
     def test_dense_sweep_across_cascade(self):
-        """Every tick around a block boundary occupied: the cascade must
-        not skip, reorder, or duplicate entries."""
+        """Every nanosecond around 256 ns occupied: nothing is skipped,
+        reordered, or duplicated."""
         engine = Engine()
         fired = []
         for offset in range(240, 280):
@@ -48,8 +56,7 @@ class TestLevelBoundaries:
         assert fired == list(range(240, 280))
 
     def test_same_instant_fifo_survives_cascade(self):
-        """Two timers for one instant filed above level 0 keep their
-        schedule order through relocation."""
+        """Two timers for one far instant keep their schedule order."""
         engine = Engine()
         order = []
         engine.timeout(70000.0).then(lambda _e: order.append("first"))
@@ -59,6 +66,8 @@ class TestLevelBoundaries:
 
 
 class TestFarFutureOverflow:
+    """Instants beyond 2**32 ns order like any other."""
+
     def test_beyond_horizon_fires_after_near_timers(self):
         engine = Engine()
         fired = []
@@ -70,20 +79,20 @@ class TestFarFutureOverflow:
         assert engine.now == far
 
     def test_overflow_timer_not_outrun_by_wheel_timer(self):
-        """An overflow timer migrating into the wheel must still precede a
-        wheel timer scheduled for a later instant."""
+        """A timer scheduled early for a far instant precedes one
+        scheduled later for a still later instant."""
         engine = Engine()
         fired = []
         engine.timeout(2.0 ** 32 + 100.0).then(
-            lambda _e: fired.append("overflow"))
+            lambda _e: fired.append("early"))
 
         def hopper():
             yield engine.timeout(2.0 ** 32 - 10.0)
-            engine.timeout(200.0).then(lambda _e: fired.append("wheel"))
+            engine.timeout(200.0).then(lambda _e: fired.append("late"))
 
         engine.process(hopper())
         engine.run()
-        assert fired == ["overflow", "wheel"]
+        assert fired == ["early", "late"]
 
     def test_empty_wheel_jumps_to_overflow_minimum(self):
         engine = Engine()
@@ -107,8 +116,31 @@ class TestEdgeDelays:
         with pytest.raises(SimulationError):
             engine.timeout(-0.5)
 
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delay_rejected(self, delay):
+        """All three timer entry points raise the kernel's typed error and
+        leave nothing queued."""
+        engine = Engine()
+        with pytest.raises(SimulationError):
+            engine.timeout(delay)
+        with pytest.raises(SimulationError):
+            Timeout(engine, delay)
+        with pytest.raises(SimulationError):
+            engine.at(delay)
+        assert engine.peek() is None
+        assert engine.run() == 0.0
+
+    def test_delay_overflowing_to_an_infinite_instant_rejected(self):
+        engine = Engine()
+        engine.run(until=1e308)
+        with pytest.raises(SimulationError):
+            engine.timeout(1e308)
+        with pytest.raises(SimulationError):
+            Timeout(engine, 1e308)
+        assert engine.peek() is None
+
     def test_subtick_delays_keep_exact_float_times(self):
-        """Ticks bucket entries; they never quantize the clock."""
+        """Instants are exact floats; nothing quantizes the clock."""
         engine = Engine()
         fired = []
 
@@ -123,9 +155,14 @@ class TestEdgeDelays:
         assert fired == [0.25, 0.5]
 
 
+def _resident(engine):
+    return sum(map(len, engine._due.values()))
+
+
 class TestCompaction:
-    def test_cancel_storm_reclaims_wheel_residents(self):
+    def test_cancel_storm_reclaims_dead_residents(self):
         engine = Engine()
+        times = engine._times
         doomed = [
             engine.timeout(1000.0 + index)
             for index in range(4 * _COMPACT_MIN_CANCELLED)
@@ -134,28 +171,160 @@ class TestCompaction:
         engine.timeout(50.0).then(lambda _e: fired.append("kept"))
         for event in doomed:
             event.cancel()
-        total = (
-            sum(map(len, engine._l0)) + sum(map(len, engine._l1))
-            + sum(map(len, engine._l2)) + sum(map(len, engine._l3))
-            + len(engine._overflow)
-        )
-        assert total == 1  # only the live timer survives compaction
+        assert _resident(engine) == 1  # only the live timer survives
+        assert engine._times == [50.0]
+        assert engine._times is times  # run() and timeout() bind it
         assert engine._cancelled_pending == 0
         engine.run()
         assert fired == ["kept"]
         assert engine.now == 50.0
 
-    def test_cancel_storm_reclaims_overflow_residents(self):
+    def test_cancel_storm_drops_emptied_instants(self):
+        """Dead entries leave shared instants; instants left empty leave
+        both ``_due`` and ``_times``, and the heap stays a heap."""
         engine = Engine()
-        doomed = [
-            engine.timeout(2.0 ** 33 + index)
-            for index in range(4 * _COMPACT_MIN_CANCELLED)
-        ]
+        fired = []
+        doomed = []
+        for index in range(4 * _COMPACT_MIN_CANCELLED):
+            doomed.append(engine.timeout(2.0 ** 33 + index % 8))
+            if index == 5:
+                engine.timeout(2.0 ** 33 + 5).then(
+                    lambda _e: fired.append(engine.now))
         for event in doomed:
             event.cancel()
-        assert len(engine._overflow) == 0
+        assert list(engine._due) == [2.0 ** 33 + 5]
+        assert engine._times == [2.0 ** 33 + 5]
+        assert _resident(engine) == 1
         engine.run()
+        assert fired == [2.0 ** 33 + 5]
+
+    def test_compaction_during_a_sweep_keeps_the_census_exact(self):
+        """Cancels that target the list being swept trigger compactions
+        that cannot reach it; the sweep itself settles those entries."""
+        engine = Engine()
+        fired = []
+        victims = []
+
+        def cancel_the_rest(_event):
+            for victim in victims:
+                victim.cancel()
+
+        engine.timeout(10.0).then(cancel_the_rest)
+        for _ in range(3 * _COMPACT_MIN_CANCELLED):
+            victims.append(engine.timeout(10.0))
+        engine.timeout(20.0).then(lambda _e: fired.append(engine.now))
+        engine.run()
+        assert fired == [20.0]
+        assert engine._cancelled_pending == 0
+        assert engine.dispatched == 2
+
+
+class TestInstantLists:
+    def test_cancelled_only_instant_moves_neither_clock_nor_peek(self):
+        engine = Engine()
+        for _ in range(3):
+            engine.timeout(10.0).cancel()
+        engine.timeout(30.0)
+        assert engine.peek() == 30.0
+        assert 10.0 not in engine._due
+        assert engine._cancelled_pending == 0
         assert engine.now == 0.0
+
+        engine = Engine()
+        for _ in range(3):
+            engine.timeout(10.0).cancel()
+        assert engine.run() == 0.0
+        assert engine.now == 0.0
+        assert engine.peek() is None
+
+    def test_cancelled_head_instant_does_not_stop_run_until(self):
+        engine = Engine()
+        engine.timeout(10.0).cancel()
+        fired = []
+        engine.timeout(15.0).then(lambda _e: fired.append(engine.now))
+        assert engine.run(until=12.0) == 12.0
+        assert fired == []
+        engine.run()
+        assert fired == [15.0]
+
+    def test_raising_callback_leaves_the_rest_of_its_instant_queued(self):
+        engine = Engine()
+        fired = []
+
+        def boom(_event):
+            fired.append("boom")
+            raise RuntimeError("modeling bug")
+
+        for tag in ("a", "b"):
+            engine.timeout(10.0).then(lambda _e, t=tag: fired.append(t))
+        engine.timeout(10.0).then(boom)
+        for tag in ("c", "d"):
+            engine.timeout(10.0).then(lambda _e, t=tag: fired.append(t))
+        engine.timeout(20.0).then(lambda _e: fired.append("late"))
+        with pytest.raises(RuntimeError):
+            engine.run()
+        assert fired == ["a", "b", "boom"]
+        assert engine.now == 10.0
+        assert engine.peek() == 10.0
+        engine.run()
+        assert fired == ["a", "b", "boom", "c", "d", "late"]
+
+    def test_rest_of_a_raising_sweep_precedes_timers_it_scheduled(self):
+        """At 2**60 ns a 1 ns delay rounds to the current instant, so the
+        sweep can schedule onto the instant it is draining; the unswept
+        rest keeps its place ahead of those."""
+        start = 2.0 ** 60
+        engine = Engine()
+        engine.run(until=start)
+        fired = []
+
+        def boom(_event):
+            engine.timeout(1.0).then(lambda _e: fired.append("scheduled"))
+            raise RuntimeError("modeling bug")
+
+        engine.timeout(1024.0).then(boom)
+        engine.timeout(1024.0).then(lambda _e: fired.append("rest"))
+        with pytest.raises(RuntimeError):
+            engine.run()
+        engine.run()
+        assert fired == ["rest", "scheduled"]
+        assert engine.now == start + 1024.0
+
+
+class TestDispatchedCounter:
+    def test_counts_dispatched_events_not_cancelled_ones(self):
+        engine = Engine()
+        engine.timeout(10.0)             # no waiter, still dispatched: 1
+        engine.timeout(20.0).cancel()    # cancelled timer: 0
+        engine.event().succeed()         # immediate: 1
+        engine.timeout(0.0).cancel()     # cancelled immediate: 0
+
+        def proc():
+            yield engine.timeout(5.0)
+            yield engine.at(7.0)
+
+        # Bootstrap, the timeout, the shared at(7.0) event and the process
+        # completion: four events, however many waiters share at(7.0).
+        engine.process(proc())
+        engine.at(7.0).then(lambda _e: None)
+        assert engine.dispatched == 0
+        engine.run(until=6.0)
+        assert engine.dispatched == 3
+        engine.run()
+        assert engine.dispatched == 6
+
+    def test_count_is_stored_when_a_callback_raises(self):
+        engine = Engine()
+
+        def boom(_event):
+            raise RuntimeError("modeling bug")
+
+        engine.event().succeed()
+        engine.timeout(5.0)
+        engine.timeout(5.0).then(boom)
+        with pytest.raises(RuntimeError):
+            engine.run()
+        assert engine.dispatched == 3
 
 
 class TestSharedInstant:
@@ -219,7 +388,7 @@ class TestSharedInstant:
 # -- differential determinism --------------------------------------------------
 
 
-class _WheelAdapter:
+class _EngineAdapter:
     """The real engine behind the schedule/cancel/run driver surface."""
 
     def __init__(self):
@@ -243,7 +412,7 @@ class _HeapAdapter:
     """Reference scheduler: one global ``(when, seq)`` heap, lazy cancel.
 
     This is the seed kernel's ordering contract distilled to a dozen
-    lines; the wheel must reproduce its firing log byte for byte.
+    lines; the engine must reproduce its firing log byte for byte.
     """
 
     def __init__(self):
@@ -271,30 +440,40 @@ class _HeapAdapter:
             self.now = until
 
 
-def _random_delay(rng):
+def _random_delay(rng, now=None):
+    """A delay over a wide mix of ranges.  Given the clock ``now``, three
+    draws in four instead land on one of the next two multiples of 256 ns,
+    so instants repeat and hold several timers (and cancels) each."""
     roll = rng.random()
+    if now is not None and roll < 0.75:
+        return (math.floor(now / 256.0) + rng.randint(1, 2)) * 256.0 - now
+    roll = rng.random() if now is not None else roll
     if roll < 0.25:
         return rng.choice((0.0, 0.25, 0.5, 1.0, 3.0))
     if roll < 0.60:
-        return rng.uniform(1.0, 300.0)         # level 0/1 range
+        return rng.uniform(1.0, 300.0)
     if roll < 0.85:
-        return rng.uniform(300.0, 70000.0)     # level 1/2 range
+        return rng.uniform(300.0, 70000.0)
     if roll < 0.97:
-        return rng.uniform(70000.0, 2.0 ** 25)  # level 2/3 range
-    return 2.0 ** 32 + rng.uniform(0.0, 1000.0)  # overflow
+        return rng.uniform(70000.0, 2.0 ** 25)
+    return 2.0 ** 32 + rng.uniform(0.0, 1000.0)
 
 
-def _drive(adapter, seed, rounds=600, segments=0):
+def _drive(adapter, seed, rounds=600, segments=0, shared=False):
     """Replay one seeded schedule of mixed-range timers with random
     cancellations; returns the (time, tag) firing log.
 
     With ``segments`` the run is cut into that many ``run(until=...)``
     stretches first; between stretches, with the clock parked, it
-    schedules fresh timers and cancels random open ones (a parked clock
-    can leave a loaded batch ahead of it), then runs to completion."""
+    schedules fresh timers and cancels random open ones, then runs to
+    completion.  With ``shared`` half the delays hit repeated instants
+    (see ``_random_delay``)."""
     rng = random.Random(seed)
     log = []
     state = {"rounds": rounds, "open": []}
+
+    def delay():
+        return _random_delay(rng, adapter.now if shared else None)
 
     def fire(tag):
         def callback(_event):
@@ -302,7 +481,7 @@ def _drive(adapter, seed, rounds=600, segments=0):
             if state["rounds"] <= 0:
                 return
             state["rounds"] -= 1
-            schedule(_random_delay(rng), state["rounds"])
+            schedule(delay(), state["rounds"])
             if rng.random() < 0.3:
                 cancel_one()
 
@@ -318,9 +497,9 @@ def _drive(adapter, seed, rounds=600, segments=0):
     for tag in range(8):
         adapter.schedule(float(tag + 1), fire(-tag - 1))
     for segment in range(segments):
-        adapter.run(until=adapter.now + _random_delay(rng))
+        adapter.run(until=adapter.now + delay())
         for extra in range(rng.randrange(4)):
-            schedule(_random_delay(rng), f"s{segment}.{extra}")
+            schedule(delay(), f"s{segment}.{extra}")
         while state["open"] and rng.random() < 0.5:
             cancel_one()
     adapter.run()
@@ -330,16 +509,25 @@ def _drive(adapter, seed, rounds=600, segments=0):
 class TestDifferentialDeterminism:
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_wheel_matches_reference_heap(self, seed):
-        assert _drive(_WheelAdapter(), seed) == _drive(_HeapAdapter(), seed)
+        assert _drive(_EngineAdapter(), seed) == _drive(_HeapAdapter(), seed)
 
     def test_wheel_replay_is_identical(self):
-        assert _drive(_WheelAdapter(), 3) == _drive(_WheelAdapter(), 3)
+        assert _drive(_EngineAdapter(), 3) == _drive(_EngineAdapter(), 3)
 
     @pytest.mark.parametrize("seed", range(24))
     def test_segmented_runs_match_reference_heap(self, seed):
         """run(until=...) stretches with schedules and cancels between."""
-        assert (_drive(_WheelAdapter(), seed, segments=40)
+        assert (_drive(_EngineAdapter(), seed, segments=40)
                 == _drive(_HeapAdapter(), seed, segments=40))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shared_instants_match_reference_heap(self, seed):
+        """Instants holding several timers, cancels inside one list, and
+        parked-clock segments."""
+        log = _drive(_EngineAdapter(), seed, segments=20, shared=True)
+        assert log == _drive(_HeapAdapter(), seed, segments=20, shared=True)
+        times = [when for when, _tag in log]
+        assert len(times) - len(set(times)) > 50  # instants really repeat
 
 
 class TestParkedClock:
